@@ -11,6 +11,9 @@
 //!   sides are scalar and the speedup column reads ~1x. The
 //!   `intersect_into` rows instead use the classic per-candidate probe
 //!   loop as base, since the emit kernel is shared by both backends.
+//! * **Short-slice rows** time ~100 k sparse 8-id slices through the
+//!   public entry points, which probe slices under 64 ids directly,
+//!   against the `kernels::scalar` span kernels they bypass.
 //! * **Oracle rows** time the gain-indexed bucket-queue greedy
 //!   ([`greedy_slices`]) against the retained `BinaryHeap` reference
 //!   ([`greedy_slices_heap`]) on planted instances, asserting the
@@ -89,6 +92,27 @@ fn noise_words(len: usize, mut seed: u64) -> Vec<u64> {
             z ^ (z >> 31)
         })
         .collect()
+}
+
+/// `count` strictly ascending slices of `len` ids below `universe`,
+/// concatenated: each slice draws `len` distinct pseudo-random ids and
+/// sorts them, so gaps vary the way a set's projection does.
+fn short_slices(count: usize, len: usize, universe: usize, seed: u64) -> Vec<u32> {
+    let mut noise = noise_words(count * len * 2, seed).into_iter();
+    let mut out = Vec::with_capacity(count * len);
+    let mut slice = Vec::with_capacity(len);
+    for _ in 0..count {
+        slice.clear();
+        while slice.len() < len {
+            let id = (noise.next().expect("enough noise") % universe as u64) as u32;
+            if !slice.contains(&id) {
+                slice.push(id);
+            }
+        }
+        slice.sort_unstable();
+        out.extend_from_slice(&slice);
+    }
+    out
 }
 
 /// Benchmarks the kernel dispatch and the bucket-queue oracle, pinning
@@ -202,6 +226,59 @@ pub fn kernels(scale: Scale) -> Table {
         s,
         d,
         got == want,
+    );
+
+    // Short sparse slices: the shape of the greedy oracle's gain
+    // counts and the pass-1 removals on planted instances (≈ 8 ids of
+    // a 4096-element universe, mostly one id per word). Below 64 ids
+    // the entry points probe each id directly; base is the scalar span
+    // kernel they skip.
+    let short_words = 4096 / 64;
+    let short = short_slices(scale.pick(10_000, 100_000), 8, short_words * 64, 3);
+    let bitmap = noise_words(short_words, 4);
+    let size = format!("{} x 8 ids", short.len() / 8);
+    let count_all = |count: fn(&[u64], &[u32]) -> usize| -> Vec<usize> {
+        short.chunks(8).map(|ids| count(&bitmap, ids)).collect()
+    };
+    let base = best_secs(repeats, || {
+        count_all(kernels::scalar::intersection_count_sorted)
+    });
+    let opt = best_secs(repeats, || count_all(kernels::intersection_count_sorted));
+    let identical = count_all(kernels::intersection_count_sorted)
+        == count_all(kernels::scalar::intersection_count_sorted);
+    assert!(identical, "short-slice count diverged from the span kernel");
+    timed_row(
+        &mut table,
+        "count_sorted short",
+        size.clone(),
+        base,
+        opt,
+        identical,
+    );
+
+    let mut scratch = vec![0u64; short_words];
+    let mut remove_all = |remove: fn(&mut [u64], &[u32])| -> Vec<u64> {
+        scratch.copy_from_slice(&bitmap);
+        for ids in short.chunks(8) {
+            remove(&mut scratch, ids);
+        }
+        scratch.clone()
+    };
+    let base = best_secs(repeats, || remove_all(kernels::scalar::remove_sorted));
+    let opt = best_secs(repeats, || remove_all(kernels::remove_sorted));
+    let identical =
+        remove_all(kernels::remove_sorted) == remove_all(kernels::scalar::remove_sorted);
+    assert!(
+        identical,
+        "short-slice remove diverged from the span kernel"
+    );
+    timed_row(
+        &mut table,
+        "remove_sorted short",
+        size,
+        base,
+        opt,
+        identical,
     );
 
     // Oracle rows: bucket queue vs the retained heap on the stored

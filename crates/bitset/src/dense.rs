@@ -262,32 +262,29 @@ impl BitSet {
     /// `|self ∩ elems|` for an ascending slice of ids.
     ///
     /// Equivalent to `elems.iter().filter(|&&e| self.contains(e)).count()`
-    /// but word-batched via [`kernels::intersection_count_sorted`]: the
-    /// ids are grouped into per-word membership masks (one `count_ones`
-    /// per touched word instead of one shift/add per id), and contiguous
-    /// word runs stream through the vector popcount on AVX2 machines;
-    /// the pass-1 size test of `iterSetCover` runs on this.
+    /// via [`kernels::intersection_count_sorted`]: slices shorter than
+    /// 64 ids are probed id by id; longer ones are grouped into per-word
+    /// membership masks (one `count_ones` per touched word instead of
+    /// one shift/add per id), and contiguous word runs stream through
+    /// the vector popcount on AVX2 machines. The greedy oracle's gain
+    /// counts and the pass-1 size test of `iterSetCover` run on this.
     ///
     /// # Panics
     ///
     /// Panics if any id is `>= universe`. Ids must be strictly
-    /// ascending — the per-word masks dedup by construction, so a
-    /// duplicated id would count once, not twice (checked in debug
-    /// builds only; every caller passes deduplicated projections).
+    /// ascending — a duplicated id would count once or twice depending
+    /// on the slice's length (checked in debug builds only, by the
+    /// kernel; every caller passes deduplicated projections).
     pub fn intersection_count_slice(&self, elems: &[u32]) -> usize {
         self.check_sorted(elems);
-        debug_assert!(
-            elems.windows(2).all(|w| w[0] < w[1]),
-            "intersection_count_slice requires strictly ascending ids"
-        );
         kernels::intersection_count_sorted(&self.words, elems)
     }
 
-    /// Removes every element of an ascending slice, word-at-a-time: one
-    /// mask per touched 64-bit word, then a single read-modify-write,
-    /// instead of one per element. Equivalent to
-    /// `for &e in elems { self.remove(e); }` for strictly ascending
-    /// input.
+    /// Removes every element of an ascending slice. Slices of 64 ids or
+    /// more go word-at-a-time (one mask per touched 64-bit word, then a
+    /// single read-modify-write); shorter ones clear id by id.
+    /// Equivalent to `for &e in elems { self.remove(e); }` for strictly
+    /// ascending input.
     ///
     /// # Panics
     ///

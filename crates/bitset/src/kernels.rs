@@ -26,6 +26,11 @@
 //!   inherently serial below AVX-512 compress stores, and a gathered
 //!   probe measured slower than the span walk.)
 //!
+//! Count, remove and insert on sorted slices shorter than 64 ids use
+//! neither: the dispatched entry points probe such slices id by id on
+//! every backend, since the splitter's fixed per-call cost dominates
+//! there. `scalar` stays the parity reference for those lengths too.
+//!
 //! Dispatch is resolved **once** per process ([`backend`], an
 //! [`OnceLock`]): AVX2 when the CPU reports it, scalar otherwise, and
 //! scalar unconditionally when the `SC_BITSET_FORCE_SCALAR`
@@ -660,26 +665,39 @@ pub fn andnot_into(a: &mut [u64], b: &[u64]) {
     dispatch!(andnot_into(a, b))
 }
 
-/// Sorted slices shorter than this skip vector dispatch entirely: a
-/// short sparse slice splits into a handful of one-word fragments that
-/// can't amortise the 256-bit setup, and measured end-to-end the
-/// vector path costs ~7% on such workloads. Dense slices long enough
-/// to win are far above this bar.
+/// Sorted slices shorter than this skip the span splitter and are
+/// probed one id at a time: one shift/mask per id on the word it
+/// addresses. The splitter's per-call cost (span probe, mask build,
+/// fragment flush) is fixed, so on the short sparse projections the
+/// greedy oracle and the pass-1 updates feed it (≈ 8 ids, one per
+/// word) it costs about 10× a direct probe. Long or dense slices
+/// amortise the splitter and keep the span/vector path.
 const SHORT_SLICE: usize = 64;
 
-/// `|bitmap ∩ elems|` for ascending ids, on the active backend.
+/// `|bitmap ∩ elems|` for strictly ascending ids, on the active
+/// backend.
 ///
 /// # Panics
 ///
 /// Panics if the largest id addresses a word outside `words`. Ids
-/// must be ascending (callers check; violations only degrade the
-/// count, never memory safety, because every id is bounds-asserted
-/// through the largest one — unsorted input with a small last id
-/// panics in the kernels' slice indexing).
+/// must be strictly ascending (checked in debug builds only): the
+/// short-slice probe counts a duplicated id once per copy while the
+/// span path's masks count it once, so duplicates would make the
+/// result depend on the slice length. Unsorted input never breaks
+/// memory safety — every id is bounds-asserted through the largest
+/// one, and unsorted input with a small last id panics in slice
+/// indexing.
 pub fn intersection_count_sorted(words: &[u64], elems: &[u32]) -> usize {
     check_bounds(words, elems);
+    debug_assert!(
+        elems.windows(2).all(|w| w[0] < w[1]),
+        "intersection_count_sorted requires strictly ascending ids"
+    );
     if elems.len() < SHORT_SLICE {
-        return scalar::intersection_count_sorted(words, elems);
+        return elems
+            .iter()
+            .map(|&e| (words[(e >> 6) as usize] >> (e & 63) & 1) as usize)
+            .sum();
     }
     dispatch!(intersection_count_sorted(words, elems))
 }
@@ -703,7 +721,10 @@ pub fn intersect_sorted_into(words: &[u64], elems: &[u32], out: &mut Vec<u32>) {
 pub fn remove_sorted(words: &mut [u64], elems: &[u32]) {
     check_bounds(words, elems);
     if elems.len() < SHORT_SLICE {
-        return scalar::remove_sorted(words, elems);
+        for &e in elems {
+            words[(e >> 6) as usize] &= !(1u64 << (e & 63));
+        }
+        return;
     }
     dispatch!(remove_sorted(words, elems))
 }
@@ -716,7 +737,10 @@ pub fn remove_sorted(words: &mut [u64], elems: &[u32]) {
 pub fn insert_sorted(words: &mut [u64], elems: &[u32]) {
     check_bounds(words, elems);
     if elems.len() < SHORT_SLICE {
-        return scalar::insert_sorted(words, elems);
+        for &e in elems {
+            words[(e >> 6) as usize] |= 1u64 << (e & 63);
+        }
+        return;
     }
     dispatch!(insert_sorted(words, elems))
 }
@@ -837,5 +861,12 @@ mod tests {
     #[should_panic(expected = "outside the")]
     fn out_of_bounds_ids_panic() {
         intersection_count_sorted(&[0u64; 2], &[5, 128]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascending")]
+    fn duplicated_ids_are_rejected_by_the_count() {
+        intersection_count_sorted(&[!0u64; 2], &[5, 5]);
     }
 }

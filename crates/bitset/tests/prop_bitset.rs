@@ -99,7 +99,8 @@ proptest! {
         let mut sorted = b.clone();
         sorted.sort_unstable();
         // The counting kernel contract requires strictly ascending
-        // (deduplicated) ids: per-word masks count each bit once.
+        // (deduplicated) ids: the span path's per-word masks count a
+        // duplicated bit once, the short-slice probe once per copy.
         sorted.dedup();
         let want = sorted.iter().filter(|&&e| s.contains(e)).count();
         prop_assert_eq!(s.intersection_count_slice(&sorted), want);

@@ -10,9 +10,13 @@
 //! Word-boundary edge cases get dedicated deterministic tests: ids at
 //! 0/63/64/127/128, whole saturated words, fragments longer than the
 //! kernels' internal run buffer, and the 4-word vector chunk tails.
+//! Slices shorter than 64 ids take the dispatched kernels' direct
+//! per-id probe instead of the span splitter, so lengths on both sides
+//! of that cutoff are pinned explicitly too.
 
 use proptest::prelude::*;
 use sc_bitset::{kernels, BitSet};
+use std::collections::BTreeSet;
 
 const UNIVERSE: usize = 2048; // 32 words: several vector chunks + tail
 
@@ -22,6 +26,66 @@ fn sorted_ids() -> impl Strategy<Value = Vec<u32>> {
         v.dedup();
         v
     })
+}
+
+/// Up to 63 ids across the whole universe: always below the
+/// dispatched kernels' short-slice cutoff, and sparse enough that most
+/// ids sit alone in their word.
+fn short_sorted_ids() -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(0..UNIVERSE as u32, 0..64).prop_map(|mut v| {
+        v.sort_unstable();
+        v.dedup();
+        v
+    })
+}
+
+/// The set bits of a bitmap, as the `BTreeSet` model sees them.
+fn model_of(words: &[u64]) -> BTreeSet<u32> {
+    (0..(words.len() * 64) as u32)
+        .filter(|&e| words[(e >> 6) as usize] >> (e & 63) & 1 == 1)
+        .collect()
+}
+
+/// Pins count, remove and insert on `elems` against both the scalar
+/// span kernels and the `BTreeSet` model.
+fn check_slice_kernels(words: &[u64], elems: &[u32]) {
+    let model = model_of(words);
+    let ids: BTreeSet<u32> = elems.iter().copied().collect();
+
+    let got = kernels::intersection_count_sorted(words, elems);
+    assert_eq!(
+        got,
+        kernels::scalar::intersection_count_sorted(words, elems),
+        "count vs scalar, len {}",
+        elems.len()
+    );
+    assert_eq!(got, model.intersection(&ids).count(), "count vs model");
+
+    let mut removed = words.to_vec();
+    let mut removed_ref = words.to_vec();
+    kernels::remove_sorted(&mut removed, elems);
+    kernels::scalar::remove_sorted(&mut removed_ref, elems);
+    assert_eq!(
+        removed,
+        removed_ref,
+        "remove vs scalar, len {}",
+        elems.len()
+    );
+    let want: BTreeSet<u32> = model.difference(&ids).copied().collect();
+    assert_eq!(model_of(&removed), want, "remove vs model");
+
+    let mut inserted = words.to_vec();
+    let mut inserted_ref = words.to_vec();
+    kernels::insert_sorted(&mut inserted, elems);
+    kernels::scalar::insert_sorted(&mut inserted_ref, elems);
+    assert_eq!(
+        inserted,
+        inserted_ref,
+        "insert vs scalar, len {}",
+        elems.len()
+    );
+    let want: BTreeSet<u32> = model.union(&ids).copied().collect();
+    assert_eq!(model_of(&inserted), want, "insert vs model");
 }
 
 fn word_vec() -> impl Strategy<Value = Vec<u64>> {
@@ -105,6 +169,11 @@ proptest! {
         kernels::insert_sorted(&mut inserted, &elems);
         kernels::scalar::insert_sorted(&mut inserted_ref, &elems);
         prop_assert_eq!(inserted, inserted_ref);
+    }
+
+    #[test]
+    fn short_slices_match_scalar_and_model(words in bitmap_words(), elems in short_sorted_ids()) {
+        check_slice_kernels(&words, &elems);
     }
 
     #[test]
@@ -196,4 +265,36 @@ fn empty_bitmap_is_legal() {
     let mut out = vec![7];
     kernels::intersect_sorted_into(&none, &[], &mut out);
     assert!(out.is_empty());
+}
+
+/// Lengths on both sides of the short-slice cutoff (0, 1, 63, 64, 65),
+/// each holding the word-boundary ids 0/63/64/127 once it is long
+/// enough, over a dense, an empty, a full and a noisy bitmap.
+#[test]
+fn short_slice_cutoff_lengths() {
+    let bitmaps: [Vec<u64>; 4] = [
+        vec![0xdead_beef_0123_4567u64; UNIVERSE / 64],
+        vec![0u64; UNIVERSE / 64],
+        vec![!0u64; UNIVERSE / 64],
+        (0..UNIVERSE as u64 / 64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(i as u32))
+            .collect(),
+    ];
+    for len in [0usize, 1, 63, 64, 65] {
+        // Boundary ids first, then one id every 29 bits from 200 on:
+        // spread across many words, mostly one id per word.
+        let mut elems: Vec<u32> = [0u32, 63, 64, 127].into_iter().take(len).collect();
+        elems.extend((0..).map(|i| 200 + 29 * i).take(len - elems.len()));
+        assert_eq!(elems.len(), len);
+        assert!(elems.windows(2).all(|w| w[0] < w[1]));
+        for words in &bitmaps {
+            check_slice_kernels(words, &elems);
+        }
+    }
+    // A single id at each boundary on its own.
+    for id in [0u32, 63, 64, 127] {
+        for words in &bitmaps {
+            check_slice_kernels(words, &[id]);
+        }
+    }
 }

@@ -170,6 +170,11 @@ struct Session {
 
 impl Session {
     fn new(conn: TcpStream, handle: ServiceHandle) -> Self {
+        // Replies are written as soon as they resolve; without
+        // TCP_NODELAY a reply queued behind an unacknowledged one waits
+        // for the peer's delayed ACK. A socket that refuses the option
+        // is still served, just with Nagle's batching.
+        let _ = conn.set_nodelay(true);
         Session {
             conn,
             handle,
@@ -543,5 +548,30 @@ pub(super) fn event_loop(
             std::thread::sleep(idle);
             idle = (idle * 2).min(IDLE_MAX);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::ServiceBuilder;
+    use sc_setsystem::gen;
+
+    #[test]
+    fn accepted_sessions_disable_nagle() {
+        let service = ServiceBuilder::new()
+            .tenant("default", gen::planted(64, 128, 4, 1).system)
+            .build();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (conn, _peer) = listener.accept().expect("accept");
+        assert!(
+            !conn.nodelay().expect("nodelay"),
+            "sockets start with Nagle on"
+        );
+        let ((), _metrics) = service.serve(|handle| {
+            let session = Session::new(conn, handle);
+            assert!(session.conn.nodelay().expect("nodelay"));
+        });
     }
 }
