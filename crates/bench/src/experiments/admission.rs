@@ -1,37 +1,32 @@
 //! E20 — pass-aligned, non-blocking admission under sustained load:
-//! queue-wait percentiles, aligned vs the PR 4 boundary baseline.
+//! queue-wait percentiles.
 //!
 //! Not a paper artifact: this experiment measures the serving layer's
-//! admission pipeline. Under the PR 4 scheduler
-//! (`AdmissionMode::Boundary`, kept in-tree as the baseline), a query
-//! arriving while a scan's fan-out is running waits for the next epoch
-//! boundary — on average half an epoch of queue wait — and the
-//! admission window blocks the epoch thread outright. The aligned
-//! scheduler (`AdmissionMode::Aligned`, the default) drains arrivals
-//! *while the fan-out runs* and splices them into the in-flight scan
-//! at its boundary: the joiner's first logical pass rides the scan
-//! that was running when it arrived (pass-aligned: the group may be on
-//! its pass 5 — the splice is still exact), its queue wait collapses
-//! to the drain latency, and it retires one epoch earlier.
+//! admission pipeline. The scheduler drains arrivals *while the
+//! fan-out runs* and splices them into the in-flight scan at its
+//! boundary: the joiner's first logical pass rides the scan that was
+//! running when it arrived (pass-aligned: the group may be on its
+//! pass 5 — the splice is still exact), its queue wait collapses to
+//! the drain latency, and it retires one epoch earlier than it would
+//! waiting for the next epoch boundary.
 //!
-//! One closed-loop sustained workload runs once per mode against the
-//! same wide repository (many sets over a small universe, so the scan
-//! fan-out dominates every epoch): a few client threads, each
+//! One closed-loop sustained workload runs against a wide repository
+//! (many sets over a small universe, so the scan fan-out dominates
+//! every epoch): a few client threads, each
 //! resubmitting its next distinct `iter` query after a short
 //! deterministic think time, with one δ per client so completions
 //! desynchronise — arrivals land at arbitrary phases of the in-flight
 //! epochs, no pacing calibration needed. Everything structural
 //! (queries, jobs — every query runs, none repeat) is deterministic
 //! and gated by `repro --check`; the join counts and every timing
-//! column are load-dependent and excluded. The headline numbers,
-//! recorded in `BENCH_admission.json`: queue-wait p50 drops by orders
-//! of magnitude (epoch-scale milliseconds → drain-scale microseconds)
-//! with covers/passes/space bit-identical per query —
+//! column are load-dependent and excluded. The headline number,
+//! recorded in `BENCH_admission.json`: a drain-scale (microsecond)
+//! queue-wait p50 with covers/passes/space bit-identical per query —
 //! `service_equivalence` and the `alignment` suite pin the
 //! bit-identity claim.
 
 use crate::{Scale, Table};
-use sc_service::{AdmissionMode, QuerySpec, ServiceBuilder, ServiceConfig, ServiceMetrics};
+use sc_service::{QuerySpec, ServiceBuilder, ServiceConfig, ServiceMetrics};
 use sc_setsystem::SetSystem;
 use sc_setsystem::{gen, Instance};
 
@@ -41,15 +36,14 @@ use sc_setsystem::{gen, Instance};
 const DELTAS: [f64; 4] = [0.5, 0.7, 0.85, 1.0];
 
 /// One worker keeps the scan phase of each epoch long and serial —
-/// the regime where boundary admission's wait is most visible and the
-/// aligned drain has the most scan to splice into (fine shards give it
-/// a drain point every few sets). Observables are identical at any
-/// worker count or shard size.
-fn mode_config(mode: AdmissionMode) -> ServiceConfig {
+/// the regime where a mid-scan arrival's wait is most visible and the
+/// drain has the most scan to splice into (fine shards give it a drain
+/// point every few sets). Observables are identical at any worker
+/// count or shard size.
+fn load_config() -> ServiceConfig {
     ServiceConfig {
         workers: 1,
         shard_size: 64,
-        admission: mode,
         ..Default::default()
     }
 }
@@ -58,17 +52,12 @@ fn mode_config(mode: AdmissionMode) -> ServiceConfig {
 /// next (distinct-seed, per-client-δ) query after a short
 /// deterministic think time — so the group never drains while the run
 /// lasts, and arrivals land at arbitrary phases of the in-flight
-/// epochs: exactly the arrivals the two admission modes treat
-/// differently (wait out the scan vs splice into it).
-fn run_mode(
-    system: &SetSystem,
-    mode: AdmissionMode,
-    clients: usize,
-    per_client: usize,
-) -> ServiceMetrics {
+/// epochs: exactly the arrivals the splice serves (instead of making
+/// them wait out the scan).
+fn run_load(system: &SetSystem, clients: usize, per_client: usize) -> ServiceMetrics {
     let queries = clients * per_client;
     let service = ServiceBuilder::new()
-        .config(mode_config(mode))
+        .config(load_config())
         .tenant("default", system.clone())
         .build();
     let ((), metrics) = service.serve(|handle| {
@@ -106,18 +95,9 @@ fn row_cells(mode: &str, queries: usize, metrics: &ServiceMetrics) -> Vec<String
         metrics.jobs.to_string(),
         metrics.mid_stream_admissions.to_string(),
         metrics.aligned_joins.to_string(),
-        format!(
-            "{:.2}",
-            metrics.queue_wait.percentile(50.0).as_secs_f64() * 1e3
-        ),
-        format!(
-            "{:.2}",
-            metrics.queue_wait.percentile(99.0).as_secs_f64() * 1e3
-        ),
-        format!(
-            "{:.1}",
-            metrics.latency.percentile(50.0).as_secs_f64() * 1e3
-        ),
+        format!("{:.2}", metrics.queue_wait.percentile_us(50.0) as f64 / 1e3),
+        format!("{:.2}", metrics.queue_wait.percentile_us(99.0) as f64 / 1e3),
+        format!("{:.1}", metrics.latency.percentile_us(50.0) as f64 / 1e3),
         format!(
             "{:.1}",
             queries as f64 / metrics.elapsed.as_secs_f64().max(1e-9)
@@ -125,11 +105,10 @@ fn row_cells(mode: &str, queries: usize, metrics: &ServiceMetrics) -> Vec<String
     ]
 }
 
-/// Runs the sustained stream under both admission modes and tabulates
-/// queue-wait percentiles side by side.
+/// Runs the sustained stream and tabulates its queue-wait percentiles.
 pub fn admission(scale: Scale) -> Table {
     let mut table = Table::new(
-        "E20 — pass-aligned non-blocking admission: queue wait under sustained load, aligned vs PR 4 boundary baseline",
+        "E20 — pass-aligned non-blocking admission: queue wait under sustained load",
         &[
             "mode",
             "queries",
@@ -143,19 +122,15 @@ pub fn admission(scale: Scale) -> Table {
         ],
     );
     // A wide repository (many sets over a small universe) makes the
-    // scan fan-out the bulk of every epoch — the phase the two
-    // admission modes treat differently: an arrival inside it waits
-    // out the whole scan under boundary admission but splices into it
-    // under aligned admission.
+    // scan fan-out the bulk of every epoch — the phase an arrival
+    // splices into instead of waiting it out.
     let (n, m, k) = scale.pick((1 << 9, 1 << 14, 8), (1 << 10, 1 << 15, 16));
     let (clients, per_client) = scale.pick((4, 8), (4, 12));
     let queries = clients * per_client;
     let inst: Instance = gen::planted(n, m, k, 42);
 
-    let boundary = run_mode(&inst.system, AdmissionMode::Boundary, clients, per_client);
-    table.row(row_cells("boundary (PR 4 baseline)", queries, &boundary));
-    let aligned = run_mode(&inst.system, AdmissionMode::Aligned, clients, per_client);
-    table.row(row_cells("aligned (default)", queries, &aligned));
+    let aligned = run_load(&inst.system, clients, per_client);
+    table.row(row_cells("aligned", queries, &aligned));
     assert!(
         aligned.mid_stream_admissions >= 1,
         "sustained load must exercise the splice path"
@@ -165,10 +140,10 @@ pub fn admission(scale: Scale) -> Table {
         "planted n={n}, m={m}, k={k}; {clients} closed-loop clients × {per_client} distinct iter queries each (δ per client from {DELTAS:?}, 0–8 ms think time), single worker",
     ));
     table.note(
-        "boundary: a mid-scan arrival waits for the next epoch boundary; aligned: it is drained during the fan-out and spliced into the in-flight scan (queue wait = drain latency, one epoch saved)",
+        "aligned: a mid-scan arrival is drained during the fan-out and spliced into the in-flight scan (queue wait = drain latency, one epoch saved)",
     );
     table.note(
-        "aligned joins = splices into a group past its first scan (pass-2 joins pass-2); covers/passes/space are bit-identical per query in both modes (pinned by service_equivalence + alignment tests)",
+        "aligned joins = splices into a group past its first scan (pass-2 joins pass-2); covers/passes/space are bit-identical per query (pinned by service_equivalence + alignment tests)",
     );
     table.note("join counts and timing columns (wait …, … ms, qps) are load-dependent; repro --check skips them");
     table

@@ -53,10 +53,7 @@ fn row_cells(
         metrics.coalesced.to_string(),
         scans,
         format!("{:.1}x", queries as f64 / metrics.jobs.max(1) as f64),
-        format!(
-            "{:.1}",
-            metrics.latency.percentile(50.0).as_secs_f64() * 1e3
-        ),
+        format!("{:.1}", metrics.latency.percentile_us(50.0) as f64 / 1e3),
         format!(
             "{:.1}",
             queries as f64 / metrics.elapsed.as_secs_f64().max(1e-9)

@@ -113,7 +113,7 @@ pub fn registry() -> Vec<(&'static str, &'static str, Runner)> {
         ),
         (
             "admission",
-            "E20 pass-aligned non-blocking admission: queue wait vs the boundary baseline",
+            "E20 pass-aligned non-blocking admission: queue wait under sustained load",
             admission,
         ),
         (

@@ -47,22 +47,10 @@ fn row_cells(
         scans,
         metrics.cache_hits.to_string(),
         metrics.mid_stream_admissions.to_string(),
-        format!(
-            "{:.1}",
-            metrics.queue_wait.percentile(90.0).as_secs_f64() * 1e3
-        ),
-        format!(
-            "{:.1}",
-            metrics.latency.percentile(50.0).as_secs_f64() * 1e3
-        ),
-        format!(
-            "{:.1}",
-            metrics.latency.percentile(90.0).as_secs_f64() * 1e3
-        ),
-        format!(
-            "{:.1}",
-            metrics.latency.percentile(99.0).as_secs_f64() * 1e3
-        ),
+        format!("{:.1}", metrics.queue_wait.percentile_us(90.0) as f64 / 1e3),
+        format!("{:.1}", metrics.latency.percentile_us(50.0) as f64 / 1e3),
+        format!("{:.1}", metrics.latency.percentile_us(90.0) as f64 / 1e3),
+        format!("{:.1}", metrics.latency.percentile_us(99.0) as f64 / 1e3),
         format!(
             "{:.1}",
             queries as f64 / metrics.elapsed.as_secs_f64().max(1e-9)

@@ -8,7 +8,7 @@
 //! a factor `log₂ n` more physical work than the model implies.
 //!
 //! This module closes the gap. Each guess becomes an explicit state
-//! machine ([`GuessRun`]) whose phases mirror the algorithm:
+//! machine (`GuessRun`) whose phases mirror the algorithm:
 //!
 //! ```text
 //! ┌─> Pass1 ──(offline solve)──> Pass2 ─┐     (× ⌈1/δ⌉ iterations)
@@ -442,12 +442,12 @@ impl<'a> GuessRun<'a> {
 }
 
 /// The multi-guess pass machine behind [`GuessExecutor::Multiplexed`](crate::GuessExecutor),
-/// exposed so drivers other than [`IterSetCover::run`] — notably the
+/// exposed so drivers other than [`IterSetCover`]'s own `run` — notably the
 /// `sc_service` scan scheduler — can advance an `iterSetCover` query
 /// one shared physical scan at a time while interleaving it with other
 /// queries on the same repository.
 ///
-/// The driver owns one [`GuessRun`] state machine per guess `k = 2^i`
+/// The driver owns one `GuessRun` state machine per guess `k = 2^i`
 /// (each with its own forked stream counter, forked space meter, and
 /// seeded RNG) and performs exactly the operations of the sequential
 /// executor in exactly the same order, so covers, logical pass counts,

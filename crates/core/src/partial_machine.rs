@@ -3,7 +3,7 @@
 //! [`crate::partial::PartialIterSetCover`] executes its guesses
 //! sequentially, each performing its own physical scans. This module is
 //! the driver-API form of the same algorithm: every guess becomes a
-//! [`PartialGuessRun`] state machine
+//! `PartialGuessRun` state machine
 //!
 //! ```text
 //! ┌─> Pass1 ──(greedy on stored projections)──> Pass2 ─┐  (× ⌈1/δ⌉, or

@@ -24,11 +24,10 @@
 //! run that populated it — the `outcome_cache` integration test pins
 //! this together with the zero-physical-scan guarantee.
 //!
-//! Eviction is pluggable ([`EvictionPolicy`]): FIFO (insertion order —
-//! the batch default, no bookkeeping on the hit path) or LRU (hits
-//! refresh the entry — what `sctool serve` defaults to, since serving
-//! workloads skew toward a hot working set). Entries of a repository
-//! generation that died in a hot swap are reaped eagerly through
+//! Eviction is least-recently-used: hits refresh the entry, so a
+//! skewed repeat distribution keeps its hot working set resident.
+//! Entries of a repository generation that died in a hot swap are
+//! reaped eagerly through
 //! [`evict_fingerprint`](OutcomeCache::evict_fingerprint); they were
 //! already unreachable (no live service presents the dead fingerprint)
 //! — the reap just returns their slots.
@@ -54,45 +53,6 @@ pub struct CachedAnswer {
     pub space_words: usize,
 }
 
-/// Which entry a full [`OutcomeCache`] evicts to admit a new one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Evict the oldest *insertion*: no bookkeeping on the hit path,
-    /// the right default for deterministic batch runs (and the
-    /// behaviour every pre-existing caller had).
-    #[default]
-    Fifo,
-    /// Evict the least recently *used*: hits refresh the entry, so a
-    /// skewed repeat distribution keeps its hot set resident — the
-    /// `sctool serve` default.
-    Lru,
-}
-
-impl EvictionPolicy {
-    /// Parses `"fifo"` / `"lru"` (the `sctool serve --eviction`
-    /// grammar).
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unknown policy.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "fifo" => Ok(Self::Fifo),
-            "lru" => Ok(Self::Lru),
-            other => Err(format!("unknown eviction policy {other:?} (fifo|lru)")),
-        }
-    }
-}
-
-impl std::fmt::Display for EvictionPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Fifo => "fifo",
-            Self::Lru => "lru",
-        })
-    }
-}
-
 /// `(tenant id, repository fingerprint, canonical spec)` — the tenant
 /// id first, so two tenants serving byte-identical repositories (equal
 /// fingerprints by construction) still hold disjoint entries.
@@ -101,7 +61,7 @@ type CacheKey = (u64, u64, String);
 /// A stored answer plus the dimensions of the repository it was
 /// computed against — re-checked on every hit as a collision guard
 /// independent of the fingerprint hash — and the eviction stamp (the
-/// insertion tick under FIFO, refreshed per hit under LRU).
+/// tick of the entry's last insert or hit).
 #[derive(Debug)]
 struct Stored {
     universe: usize,
@@ -136,10 +96,10 @@ impl Inner {
 /// `(tenant id, repository fingerprint, canonical spec)`.
 ///
 /// Capacity `0` disables the cache (every lookup misses, inserts are
-/// dropped). Eviction follows the configured [`EvictionPolicy`] —
-/// outcome records are tiny (a cover is a few dozen ids), so even the
-/// LRU bookkeeping is one counter write per hit. The cache is `Sync`
-/// and designed to be shared — wrap it in an
+/// dropped). Eviction is least-recently-used — outcome records are
+/// tiny (a cover is a few dozen ids), and the LRU bookkeeping is one
+/// stamp refresh per hit. The cache is `Sync` and designed to be
+/// shared — wrap it in an
 /// [`Arc`](std::sync::Arc) and hand it to several services through
 /// [`ServiceBuilder::shared_cache`](crate::ServiceBuilder::shared_cache)
 /// to share answers across repositories (the content fingerprint plus the
@@ -148,23 +108,15 @@ impl Inner {
 #[derive(Debug, Default)]
 pub struct OutcomeCache {
     capacity: usize,
-    policy: EvictionPolicy,
     inner: Mutex<Inner>,
 }
 
 impl OutcomeCache {
-    /// Creates a FIFO cache bounded to `capacity` entries (`0` disables
-    /// it).
+    /// Creates an LRU cache bounded to `capacity` entries (`0`
+    /// disables it).
     pub fn new(capacity: usize) -> Self {
-        Self::with_policy(capacity, EvictionPolicy::Fifo)
-    }
-
-    /// Creates a cache bounded to `capacity` entries under the given
-    /// eviction policy (`0` disables it).
-    pub fn with_policy(capacity: usize, policy: EvictionPolicy) -> Self {
         Self {
             capacity,
-            policy,
             inner: Mutex::new(Inner::default()),
         }
     }
@@ -172,11 +124,6 @@ impl OutcomeCache {
     /// The configured entry bound.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The configured eviction policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// Entries currently cached.
@@ -196,7 +143,7 @@ impl OutcomeCache {
     }
 
     /// Lifetime evictions as `(capacity, fingerprint)`: entries pushed
-    /// out by the bound (under whichever policy) and entries reaped
+    /// out by the bound and entries reaped
     /// because their repository generation died in a hot swap.
     pub fn eviction_stats(&self) -> (u64, u64) {
         let inner = self.inner.lock().expect("cache poisoned");
@@ -241,8 +188,8 @@ impl OutcomeCache {
     /// given fingerprint and dimensions, updating the hit/miss
     /// counters. A fingerprint match whose stored dimensions differ
     /// from `universe`/`num_sets` is a hash collision between
-    /// different repositories and counts as a miss. Under LRU, a hit
-    /// refreshes the entry's eviction stamp.
+    /// different repositories and counts as a miss. A hit refreshes
+    /// the entry's eviction stamp.
     pub fn lookup(
         &self,
         tenant: u64,
@@ -257,20 +204,18 @@ impl OutcomeCache {
         let key = Self::key(tenant, fingerprint, spec);
         let mut inner = self.inner.lock().expect("cache poisoned");
         let inner = &mut *inner;
-        let stamp = (self.policy == EvictionPolicy::Lru).then(|| inner.next_stamp());
+        let stamp = inner.next_stamp();
         match inner
             .map
             .get_mut(&key)
             .filter(|stored| stored.universe == universe && stored.num_sets == num_sets)
         {
             Some(stored) => {
-                if let Some(stamp) = stamp {
-                    // LRU refresh: the entry moves to the young end of
-                    // the stamp index.
-                    inner.by_stamp.remove(&stored.stamp);
-                    inner.by_stamp.insert(stamp, key);
-                    stored.stamp = stamp;
-                }
+                // LRU refresh: the entry moves to the young end of the
+                // stamp index.
+                inner.by_stamp.remove(&stored.stamp);
+                inner.by_stamp.insert(stamp, key);
+                stored.stamp = stamp;
                 let answer = stored.answer.clone();
                 inner.hits += 1;
                 Some(answer)
@@ -287,9 +232,8 @@ impl OutcomeCache {
     /// how many entries the capacity bound evicted to admit it (`0` or
     /// `1`). A duplicate key (two identical queries retiring from the
     /// same epoch group) overwrites in place — the answers are
-    /// identical by determinism — without consuming a second slot;
-    /// under FIFO the overwrite keeps the entry's original insertion
-    /// age, under LRU it counts as a use.
+    /// identical by determinism — without consuming a second slot, and
+    /// counts as a use.
     pub fn insert(
         &self,
         tenant: u64,
@@ -312,13 +256,9 @@ impl OutcomeCache {
                 stored.universe = universe;
                 stored.num_sets = num_sets;
                 stored.answer = answer;
-                if self.policy == EvictionPolicy::Lru {
-                    // A re-insert is a use; under FIFO the entry keeps
-                    // its original insertion age.
-                    inner.by_stamp.remove(&stored.stamp);
-                    inner.by_stamp.insert(stamp, key);
-                    stored.stamp = stamp;
-                }
+                inner.by_stamp.remove(&stored.stamp);
+                inner.by_stamp.insert(stamp, key);
+                stored.stamp = stamp;
                 0
             }
             Entry::Vacant(slot) => {
@@ -331,9 +271,8 @@ impl OutcomeCache {
                 inner.by_stamp.insert(stamp, key);
                 let mut evicted = 0;
                 while inner.map.len() > self.capacity {
-                    // Evict the minimum stamp: insertion order under
-                    // FIFO, least-recently-used under LRU (hits refresh
-                    // the stamp) — an O(log n) pop off the stamp index.
+                    // Evict the minimum stamp, the least recently used
+                    // entry — an O(log n) pop off the stamp index.
                     let (_, victim) = inner
                         .by_stamp
                         .pop_first()
@@ -428,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn fifo_eviction_keeps_the_bound() {
+    fn eviction_keeps_the_bound() {
         let cache = OutcomeCache::new(2);
         for s in 0..5u64 {
             cache.insert(0, 0, 3, 2, &spec(s), answer(s as usize));
@@ -440,35 +379,23 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_hits_when_evicting() {
+    fn overwrite_counts_as_a_use() {
         let cache = OutcomeCache::new(2);
         cache.insert(0, 0, 3, 2, &spec(0), answer(0));
         cache.insert(0, 0, 3, 2, &spec(1), answer(1));
-        // A hit on the oldest entry does not save it under FIFO.
-        assert!(cache.lookup(0, 0, 3, 2, &spec(0)).is_some());
-        cache.insert(0, 0, 3, 2, &spec(2), answer(2));
-        assert_eq!(cache.lookup(0, 0, 3, 2, &spec(0)), None, "still the oldest");
-        assert!(cache.lookup(0, 0, 3, 2, &spec(1)).is_some());
-    }
-
-    #[test]
-    fn fifo_overwrite_keeps_the_original_insertion_age() {
-        let cache = OutcomeCache::new(2);
-        cache.insert(0, 0, 3, 2, &spec(0), answer(0));
-        cache.insert(0, 0, 3, 2, &spec(1), answer(1));
-        // Re-inserting the oldest entry does not rejuvenate it under
-        // FIFO: it is still the first out.
+        // Re-inserting the older entry refreshes it: the *other* one
+        // becomes the victim, and the overwrite took no second slot.
         cache.insert(0, 0, 3, 2, &spec(0), answer(9));
+        assert_eq!(cache.len(), 2);
         cache.insert(0, 0, 3, 2, &spec(2), answer(2));
-        assert_eq!(cache.lookup(0, 0, 3, 2, &spec(0)), None, "still the oldest");
-        assert!(cache.lookup(0, 0, 3, 2, &spec(1)).is_some());
+        assert_eq!(cache.lookup(0, 0, 3, 2, &spec(0)), Some(answer(9)));
+        assert_eq!(cache.lookup(0, 0, 3, 2, &spec(1)), None, "LRU victim");
         assert!(cache.lookup(0, 0, 3, 2, &spec(2)).is_some());
     }
 
     #[test]
     fn lru_hits_refresh_the_entry() {
-        let cache = OutcomeCache::with_policy(2, EvictionPolicy::Lru);
-        assert_eq!(cache.policy(), EvictionPolicy::Lru);
+        let cache = OutcomeCache::new(2);
         cache.insert(0, 0, 3, 2, &spec(0), answer(0));
         cache.insert(0, 0, 3, 2, &spec(1), answer(1));
         // Touch the older entry: the *other* one becomes the victim.
@@ -522,14 +449,6 @@ mod tests {
         assert_eq!(cache.evict_fingerprint(0, 9), 1);
         assert_eq!(cache.lookup(1, 9, 3, 2, &spec(0)), Some(answer(1)));
         assert_eq!(cache.lookup(0, 9, 3, 2, &spec(0)), None);
-    }
-
-    #[test]
-    fn eviction_policy_parses_and_prints() {
-        assert_eq!(EvictionPolicy::parse("fifo"), Ok(EvictionPolicy::Fifo));
-        assert_eq!(EvictionPolicy::parse("lru"), Ok(EvictionPolicy::Lru));
-        assert!(EvictionPolicy::parse("arc").is_err());
-        assert_eq!(EvictionPolicy::Lru.to_string(), "lru");
     }
 
     #[test]

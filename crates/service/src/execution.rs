@@ -18,14 +18,12 @@
 //! with deficit round robin charged per `(tenant, shard)` unit instead
 //! of per epoch.
 //!
-//! In serve mode under
-//! [`AdmissionMode::Aligned`](crate::AdmissionMode), the epoch thread
-//! is not idle while the workers run: it drains the submission channel
-//! into the pending-arrival buffer (the **non-blocking accept** half of
-//! the pipeline — see [`alignment`](crate::alignment) for the splice
-//! that happens at the scan boundary). The single-worker path drains
-//! between shards instead, so responsiveness does not depend on the
-//! worker count.
+//! In serve mode the epoch thread is not idle while the workers run:
+//! it drains the submission channel into the pending-arrival buffer
+//! (the **non-blocking accept** half of the pipeline — see
+//! [`alignment`](crate::alignment) for the splice that happens at the
+//! scan boundary). The single-worker path drains between shards
+//! instead, so responsiveness does not depend on the worker count.
 
 use crate::admission::{Inflight, Intake, PendingArrival};
 use crate::fairness::FairGate;

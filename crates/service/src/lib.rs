@@ -25,7 +25,7 @@
 //! | stage | module | job |
 //! |---|---|---|
 //! | 1 admission | `admission` | intake from the submission channel (queries, `!reload`), outcome-cache probe, coalesce-or-build disposition, the deferred-work backlog |
-//! | 2 alignment | `alignment` | pass-indexed join planning: which queued query splices into which in-flight scan (pass-2 joins pass-2), the splice itself (ledger join + zero-copy replay), the admission window, and the PR 4 `Boundary` baseline |
+//! | 2 alignment | `alignment` | pass-indexed join planning: which queued query splices into which in-flight scan (pass-2 joins pass-2), the splice itself (ledger join + zero-copy replay), and the admission window |
 //! | 3 execution | `execution` | the sharded work-stealing fan-out ([`sc_stream::ShardedPass`] + [`sc_stream::FeedCursor`], or the shared [`sc_stream::InterleavedCursor`] under shard-granular gating) with the epoch thread concurrently draining arrivals (non-blocking accept) |
 //! | 4 retirement | `retirement` | outcome construction (tenant- and generation-tagged), cache fill + eviction accounting, reply fan-out to the query and its coalesced followers |
 //! |  lifecycle | `tenants` | [`TenantRegistry`] / [`Tenant`] / [`RepositoryGeneration`]: named repositories, each a fingerprint-versioned generation chain behind its own hot swap, with per-tenant quotas and counters |
@@ -33,26 +33,26 @@
 //!
 //! `service` orchestrates the stages (epoch loop, batch/serve entry
 //! points, the generation outer loop); `cache`, `metrics`, `query`,
-//! `protocol`, and `net` are the supporting surfaces (outcome cache
-//! with pluggable eviction, counters/histograms, the query grammar,
+//! `protocol`, and `net` are the supporting surfaces (the LRU outcome
+//! cache, counters/histograms, the query grammar,
 //! the typed request/reply wire codec, and the event-driven TCP
 //! front-end with its readiness poller).
 //!
 //! # Scale levers
 //!
-//! * **Pass-aligned, non-blocking mid-stream admission**
-//!   ([`AdmissionMode::Aligned`], the default) — a query arriving
-//!   while a scan is in flight is committed to that scan immediately
-//!   (the epoch thread drains arrivals *while the fan-out runs*) and
+//! * **Pass-aligned, non-blocking mid-stream admission** — a query
+//!   arriving while a scan is in flight is committed to that scan
+//!   immediately (the epoch thread drains arrivals *while the fan-out
+//!   runs*) and
 //!   spliced at the scan boundary: its first logical pass aligns with
 //!   whatever pass the group's scan carries — pass-2 joins pass-2 —
 //!   [`sc_stream::ScanLedger::join`] logs the pass against the scan's
 //!   tag with no second physical walk, and the joiner observes the
 //!   items through the zero-copy replay. The admission window
 //!   ([`ServiceConfig::admission_window`]) overlaps the fan-out
-//!   instead of blocking the epoch thread up front; the blocking PR 4
-//!   path survives as [`AdmissionMode::Boundary`], the baseline
-//!   experiment E20 (`BENCH_admission.json`) measures against.
+//!   instead of blocking the epoch thread up front. Experiment E20
+//!   (`BENCH_admission.json`) measures the queue wait under sustained
+//!   load.
 //! * **Multi-tenant serving** — one process hosts many *named*
 //!   repositories ([`TenantRegistry`], built through
 //!   [`ServiceBuilder`]): each tenant runs its own scheduler lane
@@ -84,16 +84,17 @@
 //! * **The outcome cache** — repeat queries (same spec, same
 //!   repository fingerprint) are answered from [`OutcomeCache`] in
 //!   zero physical scans, with hit/miss/eviction counters in
-//!   [`ServiceMetrics`] and a pluggable [`EvictionPolicy`] (FIFO for
-//!   deterministic batches, LRU for serving workloads with a hot
-//!   repeat set — the `sctool serve` default); a cache shared across
+//!   [`ServiceMetrics`] and least-recently-used eviction (hits
+//!   refresh an entry, so a hot repeat set stays resident); a cache
+//!   shared across
 //!   services keeps repositories apart through the content
 //!   fingerprint in the key plus a per-hit dimension cross-check (see
 //!   [`OutcomeCache`] for the collision caveat).
 //! * **Latency histograms** — [`ServiceMetrics::queue_wait`] and
-//!   [`ServiceMetrics::latency`] are log-bucketed
-//!   [`LatencyHistogram`]s with p50/p90/p99 extraction, the numbers
-//!   experiments E18/E20 report under load.
+//!   [`ServiceMetrics::latency`] are log₂-µs
+//!   [`sc_telemetry::HistogramSnapshot`]s — the same type the stage
+//!   histograms snapshot into — with p50/p90/p99 extraction, the
+//!   numbers experiments E18–E20 report under load.
 //!
 //! Two guarantees, both pinned by integration tests:
 //!
@@ -136,13 +137,13 @@ mod service;
 mod telemetry;
 mod tenants;
 
-pub use cache::{CachedAnswer, EvictionPolicy, OutcomeCache};
-pub use metrics::{LatencyHistogram, ServiceMetrics};
+pub use cache::{CachedAnswer, OutcomeCache};
+pub use metrics::ServiceMetrics;
 pub use net::{NetConfig, NetStats};
 pub use query::{QueryOutcome, QuerySpec};
 pub use service::{
-    AdmissionMode, InterleaveMode, QueryTicket, ReloadTicket, Service, ServiceBuilder,
-    ServiceClosed, ServiceConfig, ServiceHandle, TrySubmitError,
+    InterleaveMode, QueryTicket, ReloadTicket, Service, ServiceBuilder, ServiceClosed,
+    ServiceConfig, ServiceHandle, TrySubmitError,
 };
 pub use tenants::{
     RepositoryGeneration, RepositoryStore, Tenant, TenantCounters, TenantMeta, TenantRegistry,

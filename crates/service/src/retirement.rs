@@ -10,7 +10,7 @@
 //! fanned reply per follower under the follower's own id and timing.
 
 use crate::admission::Inflight;
-use crate::cache::{CachedAnswer, EvictionPolicy};
+use crate::cache::CachedAnswer;
 use crate::metrics::ServiceMetrics;
 use crate::query::QueryOutcome;
 use crate::service::Service;
@@ -79,11 +79,8 @@ impl Service {
                     },
                 );
                 metrics.evictions += evicted;
+                metrics.capacity_evictions += evicted;
                 tel().cache_evictions.add(evicted as u64);
-                match self.cache().policy() {
-                    EvictionPolicy::Fifo => metrics.fifo_evictions += evicted,
-                    EvictionPolicy::Lru => metrics.lru_evictions += evicted,
-                }
             }
             metrics.queries_completed += 1;
             metrics.queue_wait.record(outcome.queue_wait);

@@ -11,7 +11,7 @@
 
 use crate::admission::{Admitted, Inflight, Intake, QuerySubmission, ReloadRequest, Submission};
 use crate::alignment::{self, EpochState};
-use crate::cache::{EvictionPolicy, OutcomeCache};
+use crate::cache::OutcomeCache;
 use crate::execution;
 use crate::fairness::{FairGate, GrantUnit};
 use crate::metrics::ServiceMetrics;
@@ -25,44 +25,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-/// How a query arriving while a scan is in flight is admitted into it
-/// (serve mode; batch admission always happens before the first scan).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionMode {
-    /// Non-blocking, pass-aligned accept (the default): arrivals queue
-    /// while the fan-out runs — the epoch thread drains them
-    /// concurrently — and splice in at the scan boundary, each
-    /// joiner's next logical pass aligned to the group's current pass
-    /// tag and fed the scan's items through the zero-copy replay. The
-    /// admission window's timer overlaps the fan-out instead of
-    /// holding the epoch thread idle up front.
-    #[default]
-    Aligned,
-    /// The PR 4 baseline, kept for measurement (experiment E20): a
-    /// blocking drain before the fan-out. The admission window holds
-    /// the epoch thread idle for up to its full duration, and a query
-    /// arriving while the fan-out runs waits for the next epoch.
-    Boundary,
-}
-
-impl AdmissionMode {
-    /// Parses `"aligned"` / `"boundary"` (the `sctool serve
-    /// --admission` grammar).
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unknown mode.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "aligned" => Ok(Self::Aligned),
-            "boundary" => Ok(Self::Boundary),
-            other => Err(format!(
-                "unknown admission mode {other:?} (aligned|boundary)"
-            )),
-        }
-    }
-}
 
 /// The granularity at which tenant lanes share the machine (serve
 /// mode; batch runs are a single ungated lane either way).
@@ -120,14 +82,6 @@ pub struct ServiceConfig {
     /// Ignored when [`ServiceBuilder::shared_cache`] supplies the
     /// cache, which brings its own capacity.
     pub cache_capacity: usize,
-    /// Eviction policy of the private cache the builder creates (FIFO
-    /// by default — zero bookkeeping on the hit path; `sctool serve`
-    /// defaults to LRU). Ignored with
-    /// [`ServiceBuilder::shared_cache`].
-    pub eviction: EvictionPolicy,
-    /// How mid-stream arrivals are admitted into an in-flight scan
-    /// (see [`AdmissionMode`]; serve mode only).
-    pub admission: AdmissionMode,
     /// How long the scheduler holds the *first* scan of a fresh epoch
     /// group open for mid-stream joiners (serve mode only; zero — the
     /// default — admits mid-stream without ever holding a scan open).
@@ -139,11 +93,9 @@ pub struct ServiceConfig {
     /// sparse traffic: every query that starts a fresh group holds its
     /// first scan's boundary open up to the full window waiting for
     /// company, so a strict request-response client pays the window per
-    /// query. Under [`AdmissionMode::Aligned`] the timer runs from the
-    /// scan's *start* — the fan-out overlaps it — while
-    /// [`AdmissionMode::Boundary`] blocks the epoch thread for the
-    /// whole window before any fan-out work. Leave it at zero unless
-    /// clients submit in bursts.
+    /// query. The timer runs from the scan's *start*, so the fan-out
+    /// overlaps it and the epoch thread idles only for the remainder.
+    /// Leave it at zero unless clients submit in bursts.
     pub admission_window: Duration,
     /// Sets per shard of the zero-copy repository feed the epoch
     /// fan-out drives jobs with ([`sc_stream::ShardedPass`]): the
@@ -179,8 +131,6 @@ impl Default for ServiceConfig {
                 .min(8),
             queue_depth: 256,
             cache_capacity: 256,
-            eviction: EvictionPolicy::Fifo,
-            admission: AdmissionMode::Aligned,
             admission_window: Duration::ZERO,
             shard_size: 256,
             coalesce: false,
@@ -426,11 +376,10 @@ impl ServiceHandle {
 /// a group of concurrent queries is the *max* of their logical pass
 /// counts, not the sum, exactly the accounting the streaming model
 /// charges for parallel branches. Queries arriving while a scan is in
-/// flight splice into it **pass-aligned and non-blocking** (see
-/// [`AdmissionMode`]), repeats are answered from the **outcome cache**
-/// in zero physical scans, and `!reload` swaps the repository
-/// mid-load with in-flight queries draining on their original
-/// generation.
+/// flight splice into it **pass-aligned and non-blocking**, repeats
+/// are answered from the **outcome cache** in zero physical scans, and
+/// `!reload` swaps the repository mid-load with in-flight queries
+/// draining on their original generation.
 ///
 /// # Examples
 ///
@@ -468,13 +417,12 @@ pub struct Service {
 /// # Examples
 ///
 /// ```
-/// use sc_service::{EvictionPolicy, QuerySpec, ServiceBuilder};
+/// use sc_service::{QuerySpec, ServiceBuilder};
 /// use sc_setsystem::gen;
 ///
 /// let service = ServiceBuilder::new()
 ///     .tenant("wiki", gen::planted(128, 256, 8, 3).system)
 ///     .tenant_with_quota("logs", gen::planted(128, 256, 8, 4).system, 8)
-///     .eviction(EvictionPolicy::Lru)
 ///     .coalesce(true)
 ///     .build();
 /// let ((), _metrics) = service.serve(|handle| {
@@ -531,7 +479,7 @@ impl ServiceBuilder {
     /// Adds a named tenant with its own inflight quota: the cap on
     /// queries it may hold inside scan epochs at once, independent of
     /// the service-wide `max_inflight` default — the sizing half of
-    /// cross-tenant fairness (the [`FairGate`] is the scheduling
+    /// cross-tenant fairness (the `FairGate` is the scheduling
     /// half).
     #[must_use]
     pub fn tenant_with_quota(
@@ -579,20 +527,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets [`ServiceConfig::eviction`].
-    #[must_use]
-    pub fn eviction(mut self, policy: EvictionPolicy) -> Self {
-        self.cfg.eviction = policy;
-        self
-    }
-
-    /// Sets [`ServiceConfig::admission`].
-    #[must_use]
-    pub fn admission(mut self, mode: AdmissionMode) -> Self {
-        self.cfg.admission = mode;
-        self
-    }
-
     /// Sets [`ServiceConfig::admission_window`].
     #[must_use]
     pub fn admission_window(mut self, window: Duration) -> Self {
@@ -628,7 +562,7 @@ impl ServiceBuilder {
     /// funds one full epoch); under [`InterleaveMode::Shard`] it is
     /// the lane's burst of `(tenant, shard)` units per turn (default
     /// `workers`: one turn refills the machine's worker budget). See
-    /// [`crate::fairness`].
+    /// the `fairness` module.
     #[must_use]
     pub fn quantum(mut self, q: u64) -> Self {
         self.quantum = Some(q);
@@ -662,9 +596,9 @@ impl ServiceBuilder {
             !self.tenants.is_empty(),
             "a service needs at least one tenant"
         );
-        let cache = self.cache.unwrap_or_else(|| {
-            Arc::new(OutcomeCache::with_policy(cfg.cache_capacity, cfg.eviction))
-        });
+        let cache = self
+            .cache
+            .unwrap_or_else(|| Arc::new(OutcomeCache::new(cfg.cache_capacity)));
         let tenants = self
             .tenants
             .into_iter()
@@ -928,12 +862,11 @@ impl Service {
     /// tenant's generations — so every per-tenant stream of queries
     /// behaves bit-identically to a solo service — while the lanes
     /// share the outcome cache (tenant-partitioned) and arbitrate scan
-    /// epochs through the deficit-round-robin [`FairGate`]: a hot
+    /// epochs through the deficit-round-robin `FairGate`: a hot
     /// tenant cannot starve a cold one, and a cold tenant's admission
     /// (stage 1, including cache hits) never waits on the gate at all.
     ///
-    /// Admission happens at epoch boundaries *and* mid-stream (see
-    /// [`AdmissionMode`]): a query arriving while a scan is in flight
+    /// Admission happens at epoch boundaries *and* mid-stream: a query arriving while a scan is in flight
     /// splices into that scan — its first pass aligned to the group's
     /// current pass tag, the items observed through the zero-copy
     /// replay — instead of queueing for the next epoch. Repeat queries
@@ -1169,9 +1102,9 @@ impl Service {
     }
 
     /// Runs one scan epoch: every inflight job joins one shared
-    /// physical pass — exposed as a zero-copy sharded feed — the
-    /// configured admission path handles queries arriving while the
-    /// scan is in flight, and the work-stealing worker pool fans the
+    /// physical pass — exposed as a zero-copy sharded feed — queries
+    /// arriving while the scan is in flight are drained during the
+    /// fan-out and spliced in at its boundary, and the work-stealing worker pool fans the
     /// per-query state updates out shard by shard. With `interleave`
     /// set, the fan-out goes through the service-wide shared cursor
     /// with one gate unit held per shard (see
@@ -1222,8 +1155,8 @@ impl Service {
         let lone_fresh_head = fresh_group && state.inflight.len() < 2;
         let window = (lone_fresh_head && self.cfg.admission_window > Duration::ZERO)
             .then(|| Instant::now() + self.cfg.admission_window);
-        let parked = match (self.cfg.admission, intake) {
-            (_, None) => {
+        let parked = match intake {
+            None => {
                 // Batch mode: a pure fan-out, no mid-stream arrivals.
                 let _span = tel().stage_execution.span();
                 metrics.shard_grants += execution::fan_out(
@@ -1235,29 +1168,7 @@ impl Service {
                 );
                 Vec::new()
             }
-            (AdmissionMode::Boundary, Some(intake)) => {
-                // The PR 4 baseline: blocking drain before the
-                // fan-out (joiners ride the workers with the group).
-                let parked = {
-                    let _span = tel().stage_alignment.span();
-                    alignment::blocking_drain(
-                        self, gen, root, ledger, state, intake, window, metrics,
-                    )
-                };
-                metrics.max_inflight_seen = metrics
-                    .max_inflight_seen
-                    .max(state.inflight.len() + parked.len());
-                let _span = tel().stage_execution.span();
-                metrics.shard_grants += execution::fan_out(
-                    &feed,
-                    &mut state.inflight,
-                    self.cfg.workers,
-                    None,
-                    interleave,
-                );
-                parked
-            }
-            (AdmissionMode::Aligned, Some(intake)) => {
+            Some(intake) => {
                 // Non-blocking accept: the fan-out drains arrivals
                 // concurrently (answering cache hits on the spot); the
                 // splice lands the rest at the boundary.

@@ -2,14 +2,11 @@
 //! into a *later* pass of an in-flight epoch group (pass-2 joins
 //! pass-2) must return the bit-identical cover, logical pass count,
 //! and space peak as its solo run — under the default worker pool and
-//! under single-set-shard work-stealing stress alike — and the
-//! `Boundary` baseline mode must preserve the same observables.
+//! under single-set-shard work-stealing stress alike.
 
 use sc_core::partial::{run_partial, PartialIterSetCover};
 use sc_core::{IterSetCover, IterSetCoverConfig};
-use sc_service::{
-    AdmissionMode, QueryOutcome, QuerySpec, ServiceBuilder, ServiceConfig, ServiceMetrics,
-};
+use sc_service::{QueryOutcome, QuerySpec, ServiceBuilder, ServiceConfig, ServiceMetrics};
 use sc_setsystem::{gen, SetSystem};
 use sc_stream::run_reported;
 use std::time::Duration;
@@ -307,31 +304,6 @@ fn telemetry_ledger_bounds_aligned_joins_by_mid_stream_admissions() {
 }
 
 #[test]
-fn boundary_mode_baseline_preserves_solo_observables() {
-    // The PR 4 path kept for E20's baseline must still be bit-exact.
-    // The late query goes in right behind the helper: the helper's
-    // arrival released the window with the multi-pass head still many
-    // epochs from retiring, so the late query always lands in a live
-    // group (a lone fresh head would wait out the whole window).
-    let inst = gen::planted(512, 1024, 16, 3);
-    let (outcomes, metrics) = staggered_run(
-        &inst.system,
-        ServiceConfig {
-            admission: AdmissionMode::Boundary,
-            admission_window: Duration::from_secs(30),
-            ..Default::default()
-        },
-        Duration::ZERO,
-    );
-    for (i, outcome) in outcomes.iter().enumerate() {
-        assert_matches_solo(outcome, &inst.system, &format!("boundary query {i}"));
-    }
-    // Boundary mode never splices at a scan boundary, so it can never
-    // record a pass-aligned join.
-    assert_eq!(metrics.aligned_joins, 0);
-}
-
-#[test]
 fn full_window_with_armed_deadline_defers_without_livelock() {
     // One slot + an armed admission window + a distinct (neither
     // cached nor coalescible) arrival: the arrival must be deferred to
@@ -363,15 +335,4 @@ fn full_window_with_armed_deadline_defers_without_livelock() {
         assert_matches_solo(outcome, &inst.system, &format!("deferred query {i}"));
     }
     assert!(metrics.max_inflight_seen <= 1, "the slot bound held");
-}
-
-#[test]
-fn aligned_is_the_default_admission_mode() {
-    assert_eq!(ServiceConfig::default().admission, AdmissionMode::Aligned);
-    assert_eq!(AdmissionMode::parse("aligned"), Ok(AdmissionMode::Aligned));
-    assert_eq!(
-        AdmissionMode::parse("boundary"),
-        Ok(AdmissionMode::Boundary)
-    );
-    assert!(AdmissionMode::parse("eager").is_err());
 }

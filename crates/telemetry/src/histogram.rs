@@ -1,13 +1,16 @@
-//! Atomic log₂-µs stage histograms and their plain-data snapshots.
+//! Log₂-µs histograms: the atomic [`StageHistogram`] pipeline stages
+//! record into, and the plain-data [`HistogramSnapshot`] every reader
+//! (and every single-threaded tally) does its math on.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Number of log₂ buckets — the same layout as the service's
-/// `LatencyHistogram`: bucket 0 holds sub-µs durations, bucket `i ≥ 1`
-/// holds `[2^(i-1), 2^i)` µs, bucket 39 absorbs overflow (≥ 2³⁸ µs).
+/// Number of log₂ buckets: bucket 0 holds sub-µs durations, bucket
+/// `i ≥ 1` holds `[2^(i-1), 2^i)` µs, bucket 39 absorbs overflow
+/// (≥ 2³⁸ µs, ~76 h — far beyond any realistic latency).
 pub const BUCKETS: usize = 40;
 
 pub(crate) fn bucket_of(us: u64) -> usize {
@@ -16,6 +19,11 @@ pub(crate) fn bucket_of(us: u64) -> usize {
     } else {
         ((64 - us.leading_zeros()) as usize).min(BUCKETS - 1)
     }
+}
+
+/// Whole microseconds of `d`, saturating at `u64::MAX`.
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// A lock-free histogram of stage durations, recorded in microseconds.
@@ -59,7 +67,7 @@ impl StageHistogram {
         if !crate::enabled() {
             return;
         }
-        self.record_us(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
+        self.record_us(micros(d));
     }
 
     /// Starts a span over this stage: the returned guard records the
@@ -102,20 +110,46 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            self.hist
-                .record_us(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+            self.hist.record_us(micros(start.elapsed()));
         }
     }
 }
 
-/// A plain-data histogram state: subtractable, percentile-extractable.
+/// A plain-data log₂-µs histogram: subtractable, mergeable,
+/// percentile-extractable.
+///
+/// It is both the copy a [`StageHistogram::snapshot`] hands to readers
+/// and the single-owner accumulator for per-query latencies (the
+/// service's queue-wait and latency metrics, a load client's tally):
+/// [`record`](Self::record) is O(1) into a fixed 40-counter array, so
+/// every query can be recorded without a reservoir or allocation.
+/// Percentiles interpolate linearly inside the bucket holding the
+/// requested rank — exact to within the 2× bucket resolution, the
+/// right precision for a p50/p90/p99 summary — and
+/// [`delta`](Self::delta) turns two cumulative states into a
+/// per-window histogram for interval stats.
+///
+/// # Examples
+///
+/// ```
+/// use sc_telemetry::HistogramSnapshot;
+/// use std::time::Duration;
+///
+/// let mut h = HistogramSnapshot::default();
+/// for ms in [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 100] {
+///     h.record(Duration::from_millis(ms));
+/// }
+/// assert_eq!(h.count, 10);
+/// assert!(h.percentile_us(50.0) < 3_000);
+/// assert!(h.percentile_us(99.0) >= 100_000);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket observation counts (log₂-µs layout, see [`BUCKETS`]).
     pub buckets: [u64; BUCKETS],
     /// Total observations.
     pub count: u64,
-    /// Sum of all observations in microseconds.
+    /// Sum of all observations in microseconds (saturating).
     pub sum_us: u64,
 }
 
@@ -130,6 +164,23 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one observation.
+    pub fn record(&mut self, d: Duration) {
+        let us = micros(d);
+        self.buckets[bucket_of(us)] += 1;
+        self.count += 1;
+        self.sum_us = self.sum_us.saturating_add(us);
+    }
+
+    /// Adds every observation of `other` into `self`.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum_us = self.sum_us.saturating_add(other.sum_us);
+    }
+
     /// The observations recorded since `earlier` was taken: `self`
     /// minus `earlier`, bucket-wise (saturating, so a reset between
     /// the two snapshots degrades to the later snapshot rather than
@@ -184,6 +235,12 @@ impl HistogramSnapshot {
             self.mean_us() as f64 / 1e3,
             self.count,
         )
+    }
+}
+
+impl fmt::Display for HistogramSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.summary())
     }
 }
 
@@ -287,5 +344,81 @@ mod tests {
         let s = HistogramSnapshot::default();
         assert_eq!(s.percentile_us(99.0), 0);
         assert_eq!(s.mean_us(), 0);
+    }
+
+    #[test]
+    fn buckets_are_log2_in_microseconds() {
+        assert_eq!(bucket_of(0), 0);
+        assert_eq!(bucket_of(1), 1);
+        assert_eq!(bucket_of(2), 2);
+        assert_eq!(bucket_of(3), 2);
+        assert_eq!(bucket_of(4), 3);
+        assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
+        // A duration past u64::MAX µs lands in the overflow bucket and
+        // saturates the sum instead of wrapping it.
+        let mut h = HistogramSnapshot::default();
+        h.record(Duration::MAX);
+        h.record(Duration::from_micros(1));
+        assert_eq!(h.buckets[BUCKETS - 1], 1);
+        assert_eq!(h.sum_us, u64::MAX);
+    }
+
+    #[test]
+    fn percentiles_walk_the_buckets() {
+        let mut h = HistogramSnapshot::default();
+        for _ in 0..99 {
+            h.record(Duration::from_micros(10)); // bucket [8, 16)
+        }
+        h.record(Duration::from_millis(50)); // bucket [32768, 65536) µs
+        assert_eq!(h.count, 100);
+        // Rank 50 of the 99 observations in [8, 16) interpolates to
+        // 8 + ceil(8·50/99) = 13; rank 99 lands on the upper edge.
+        assert_eq!(h.percentile_us(50.0), 13);
+        assert_eq!(h.percentile_us(99.0), 16);
+        assert_eq!(h.percentile_us(100.0), 65_536);
+    }
+
+    #[test]
+    fn delta_reports_the_window_only() {
+        let mut h = HistogramSnapshot::default();
+        for _ in 0..50 {
+            h.record(Duration::from_millis(30)); // slow warm-up phase
+        }
+        let earlier = h;
+        for _ in 0..50 {
+            h.record(Duration::from_micros(10)); // fast steady state
+        }
+        // The cumulative p90 still remembers the warm-up…
+        assert!(h.percentile_us(90.0) >= 16_000);
+        // …the window does not.
+        let window = h.delta(&earlier);
+        assert_eq!(window.count, 50);
+        assert_eq!(window.mean_us(), 10);
+        assert!(window.percentile_us(99.0) <= 16);
+        // Delta against an unchanged state is empty.
+        assert_eq!(h.delta(&h).count, 0);
+    }
+
+    #[test]
+    fn merge_adds_counts_and_sums() {
+        let mut a = HistogramSnapshot::default();
+        let mut b = HistogramSnapshot::default();
+        a.record(Duration::from_micros(3));
+        b.record(Duration::from_micros(5));
+        b.record(Duration::from_micros(7));
+        a.merge(&b);
+        assert_eq!(a.count, 3);
+        assert_eq!(a.mean_us(), 5);
+        assert_eq!(a.buckets[2] + a.buckets[3], 3);
+    }
+
+    #[test]
+    fn summary_mentions_all_percentiles() {
+        let mut h = HistogramSnapshot::default();
+        h.record(Duration::from_millis(2));
+        let s = h.summary();
+        assert!(s.contains("p50") && s.contains("p90") && s.contains("p99"));
+        assert_eq!(s, "p50≤2.0ms p90≤2.0ms p99≤2.0ms (mean 2.0ms, n=1)");
+        assert_eq!(h.to_string(), s);
     }
 }

@@ -9,12 +9,15 @@
 //!   counters. Each counter is sharded across cache-line-padded atomic
 //!   cells keyed by a per-thread shard id, so concurrent workers never
 //!   contend on one line; [`Counter::value`] sums the shards.
-//! * **Stage histograms** ([`stage`]) — atomic log₂-µs histograms with
-//!   the exact bucket layout of the service's `LatencyHistogram`
+//! * **Stage histograms** ([`stage`]) — atomic log₂-µs histograms
 //!   (40 buckets, bucket 0 sub-µs, bucket *i* = `[2^(i-1), 2^i)` µs).
 //!   [`StageHistogram::span`] returns a drop-guard that records the
-//!   elapsed time of a pipeline stage; [`HistogramSnapshot::delta`]
-//!   subtracts an earlier snapshot for per-window percentiles.
+//!   elapsed time of a pipeline stage. Readers work on the plain-data
+//!   [`HistogramSnapshot`], the one percentile implementation in the
+//!   workspace: it also accumulates the service's per-query queue-wait
+//!   and latency metrics directly ([`HistogramSnapshot::record`],
+//!   [`HistogramSnapshot::merge`]), and [`HistogramSnapshot::delta`]
+//!   subtracts an earlier state for per-window percentiles.
 //! * **Query journal** ([`event`], [`trace`]) — a fixed-capacity
 //!   ring buffer of structured query-lifecycle events
 //!   (`submitted/admitted/aligned_join@pass/epoch_scan/retired` …)

@@ -52,7 +52,7 @@ const USAGE: &str = "usage:
   sctool exact <file> [--budget NODES]
   sctool certify <file>
   sctool convert <in> <out>              (format chosen by .scb extension)
-  sctool serve <file> [--repo NAME=PATH]... [--quota NAME=N]... [--quantum N] [--interleave shard|epoch] [--listen HOST:PORT] [--max-conns N] [--shed DEPTH] [--inflight N] [--workers N] [--cache N] [--eviction fifo|lru] [--admission aligned|boundary] [--window MS] [--shard SETS] [--coalesce] [--stats-interval SECS] [--no-telemetry]
+  sctool serve <file> [--repo NAME=PATH]... [--quota NAME=N]... [--quantum N] [--interleave shard|epoch] [--listen HOST:PORT] [--max-conns N] [--shed DEPTH] [--inflight N] [--workers N] [--cache N] [--window MS] [--shard SETS] [--coalesce] [--stats-interval SECS] [--no-telemetry]
   sctool client --connect HOST:PORT [--repo NAME] [--wait-ready SECS] [--queries N] [--concurrency C] [--spec QUERY] [--duplicates K] [--allow-busy] [--stats] [--shutdown]
   sctool geomgen <discs|rects|triangles|clustered|grid|twoline> [--n N] [--m M] [--k K] [--half H] [--seed SEED]
   sctool geomsolve <file> [--delta D] [--no-canonical] [--bg]
@@ -95,6 +95,25 @@ fn flag_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Res
             .map_err(|_| format!("bad value for {name}: {v:?}")),
         None => Ok(default),
     }
+}
+
+/// Rejects any argument after the positional one that is not a known
+/// flag: `valued` flags consume the next argument, `switches` do not.
+fn check_flags(
+    cmd: &str,
+    args: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next();
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("{cmd}: unknown flag {arg:?}"));
+        }
+    }
+    Ok(())
 }
 
 /// Fetches every occurrence of a repeatable `--flag value`.
@@ -414,9 +433,27 @@ fn convert_cmd(args: &[String]) -> Result<(), String> {
 /// `shutdown` command stops the listener once inflight work drains.
 fn serve_cmd(args: &[String]) -> Result<(), String> {
     use streaming_set_cover::service::net;
-    use streaming_set_cover::service::{
-        AdmissionMode, EvictionPolicy, InterleaveMode, ServiceBuilder, ServiceConfig,
-    };
+    use streaming_set_cover::service::{InterleaveMode, ServiceBuilder, ServiceConfig};
+    check_flags(
+        "serve",
+        args,
+        &[
+            "--repo",
+            "--quota",
+            "--quantum",
+            "--interleave",
+            "--listen",
+            "--max-conns",
+            "--shed",
+            "--inflight",
+            "--workers",
+            "--cache",
+            "--window",
+            "--shard",
+            "--stats-interval",
+        ],
+        &["--coalesce", "--no-telemetry"],
+    )?;
     if args.first().is_some_and(|p| p == "-") && flag(args, "--listen").is_none() {
         return Err(
             "serve: reading the instance from stdin needs --listen (without it, stdin carries the query protocol)"
@@ -441,17 +478,6 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         .max_inflight(flag_or(args, "--inflight", defaults.max_inflight)?.max(1))
         .workers(flag_or(args, "--workers", defaults.workers)?.max(1))
         .cache_capacity(flag_or(args, "--cache", defaults.cache_capacity)?)
-        // Serving workloads skew toward a hot repeat set, so the CLI
-        // default is LRU (the library default stays FIFO for
-        // deterministic batch runs).
-        .eviction(
-            EvictionPolicy::parse(&flag(args, "--eviction").unwrap_or_else(|| "lru".into()))
-                .map_err(|e| format!("--eviction: {e}"))?,
-        )
-        .admission(
-            AdmissionMode::parse(&flag(args, "--admission").unwrap_or_else(|| "aligned".into()))
-                .map_err(|e| format!("--admission: {e}"))?,
-        )
         .interleave(
             InterleaveMode::parse(&flag(args, "--interleave").unwrap_or_else(|| "shard".into()))
                 .map_err(|e| format!("--interleave: {e}"))?,
@@ -578,7 +604,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
             "sctool serve: {} reloads, {} cache evictions ({} capacity, {} dead-generation)",
             metrics.reloads,
             metrics.evictions,
-            metrics.fifo_evictions + metrics.lru_evictions,
+            metrics.capacity_evictions,
             metrics.reload_evictions,
         );
     }
@@ -609,9 +635,10 @@ fn response_field(line: &str, key: &str) -> Option<u64> {
 /// in-flight coalescing — the `coal=` responses are tallied alongside
 /// cache hits.
 fn client_cmd(args: &[String]) -> Result<(), String> {
+    use sc_telemetry::HistogramSnapshot;
     use std::net::TcpStream;
     use streaming_set_cover::service::protocol::{Reply, Request};
-    use streaming_set_cover::service::{LatencyHistogram, QuerySpec};
+    use streaming_set_cover::service::QuerySpec;
     let addr = flag(args, "--connect").ok_or("client: missing --connect")?;
     let queries: usize = flag_or(args, "--queries", 8)?;
     // `--allow-busy`: a server under deliberate overload answers some
@@ -669,8 +696,8 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
         /// shows which generation(s) answered when the repository was
         /// hot-swapped mid-load.
         generations: std::collections::BTreeMap<u64, usize>,
-        queue_wait: LatencyHistogram,
-        latency: LatencyHistogram,
+        queue_wait: HistogramSnapshot,
+        latency: HistogramSnapshot,
     }
     let start = std::time::Instant::now();
     let total = std::sync::Mutex::new(Tally::default());

@@ -281,6 +281,42 @@ fn unknown_command_exits_2_with_usage() {
 }
 
 #[test]
+fn serve_rejects_unknown_flags() {
+    let generated = stdout(&run(&[
+        "gen", "planted", "--n", "64", "--m", "128", "--k", "4", "--seed", "5",
+    ]));
+    let dir = std::env::temp_dir().join(format!("sctool-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let sc = dir.join("inst.sc");
+    std::fs::write(&sc, &generated).unwrap();
+    // A flag serve does not know (a typo, or an option a release
+    // removed) must fail loudly, also behind a valued flag. Empty
+    // stdin: a server that ignored it would serve nothing and exit 0.
+    for (extra, unknown) in [
+        (&["--no-such-flag", "x"][..], "--no-such-flag"),
+        (&["--window", "0", "--bogus"][..], "--bogus"),
+    ] {
+        let mut args = vec!["serve", sc.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let out = run_with_stdin(&args, b"");
+        assert_eq!(out.status.code(), Some(2), "{unknown} must be rejected");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag \"{unknown}\"")),
+            "{err}"
+        );
+    }
+    // Known switches and valued flags still pass.
+    let out = run_with_stdin(
+        &["serve", sc.to_str().unwrap(), "--coalesce", "--cache", "4"],
+        b"greedy\n",
+    );
+    assert_eq!(out.status.code(), Some(0));
+    assert!(stdout(&out).starts_with("ok id=0 kind=greedy"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn missing_file_is_a_clean_error() {
     let out = run(&["info", "/nonexistent/path.sc"]);
     assert_eq!(out.status.code(), Some(2));
